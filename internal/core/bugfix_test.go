@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -314,5 +315,34 @@ func TestParallelStatsGaugesArePeaks(t *testing.T) {
 	if par.DD.NodesCreated == 0 || par.DD.NodesCreated < seq.DD.NodesCreated {
 		t.Errorf("parallel NodesCreated %d < sequential %d; counters must aggregate",
 			par.DD.NodesCreated, seq.DD.NodesCreated)
+	}
+}
+
+// TestOutputPermSurvivesMidRunGC is the regression for the MulMV level
+// mismatch on permuted pairs (Grover 6, 5xp1, clz8 in the Medium Table Ib
+// suite): the output-permutation matrix must stay rooted across the garbage
+// collections a stimulus run triggers, not only between stimuli.  A
+// GCThreshold of 1 collects after every gate, so an unrooted permutation is
+// freed before the first comparison reads it.
+func TestOutputPermSurvivesMidRunGC(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g1 := randomCircuit(rng, 4, 30)
+	g2 := g1.Clone()
+	g2.Swap(0, 3)
+	perm := []int{3, 1, 2, 0}
+	for _, legacy := range []bool{false, true} {
+		rep := Check(g1, g2, Options{
+			Seed: 7, R: 6, SkipEC: true, OutputPerm: perm,
+			GCThreshold: 1, DisableApplyKernel: legacy,
+		})
+		if rep.Err != nil {
+			t.Fatalf("legacy=%v: err = %v", legacy, rep.Err)
+		}
+		if rep.Verdict != ProbablyEquivalent {
+			t.Fatalf("legacy=%v: verdict = %v, want probably equivalent", legacy, rep.Verdict)
+		}
+		if rep.DD.GCRuns == 0 {
+			t.Fatalf("legacy=%v: no collection ran", legacy)
+		}
 	}
 }

@@ -130,14 +130,20 @@ func (r *simRunner) compare(g1, g2 *circuit.Circuit, progs sharedProgs, input ui
 	// Build the stimulus once and reuse it for both runs.  It must be pinned
 	// across the first run's garbage collections: the second run starts from
 	// the same edge, so its nodes have to stay interned until then.
+	// The permutation matrix is pinned for the same reason: a collection in
+	// the middle of either run would otherwise free it before it is applied.
 	in := r.p.BasisState(input)
+	var mpins []dd.MEdge
+	if r.havePerm {
+		mpins = []dd.MEdge{r.unperm}
+	}
 	var u, v dd.VEdge
 	if progs.g1 != nil {
-		u = r.s.RunProgramWithPins(progs.g1, in, []dd.VEdge{in})
-		v = r.s.RunProgramWithPins(progs.g2, in, []dd.VEdge{u})
+		u = r.s.RunProgramWithPins(progs.g1, in, []dd.VEdge{in}, mpins)
+		v = r.s.RunProgramWithPins(progs.g2, in, []dd.VEdge{u}, mpins)
 	} else {
-		u = r.s.RunFromWithPins(g1, in, []dd.VEdge{in})
-		v = r.s.RunFromWithPins(g2, in, []dd.VEdge{u})
+		u = r.s.RunFromWithPins(g1, in, []dd.VEdge{in}, mpins)
+		v = r.s.RunFromWithPins(g2, in, []dd.VEdge{u}, mpins)
 	}
 	if r.havePerm {
 		v = r.p.MulMV(r.unperm, v)

@@ -73,7 +73,7 @@ func TheoryExperiment(n int, seed int64) ([]TheoryRow, error) {
 		total := 1 << uint(n)
 		for i := 0; i < total; i++ {
 			u := s.Run(g, uint64(i))
-			v := s.RunFromWithPins(gp, p.BasisState(uint64(i)), []dd.VEdge{u})
+			v := s.RunFromWithPins(gp, p.BasisState(uint64(i)), []dd.VEdge{u}, nil)
 			if f := p.Fidelity(u, v); f < 1-1e-9 {
 				mismatches++
 			}

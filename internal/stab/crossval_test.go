@@ -91,7 +91,7 @@ func assertDistinguishes(t *testing.T, g1, g2 *circuit.Circuit, input uint64) {
 	p := dd.NewDefault(g1.N)
 	s := sim.NewOn(p)
 	u := s.Run(g1, input)
-	v := s.RunFromWithPins(g2, p.BasisState(input), []dd.VEdge{u})
+	v := s.RunFromWithPins(g2, p.BasisState(input), []dd.VEdge{u}, nil)
 	if f := p.Fidelity(u, v); f > 1-1e-6 {
 		t.Errorf("claimed counterexample |%b> does not distinguish (fidelity %g)", input, f)
 	}
