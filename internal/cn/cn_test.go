@@ -10,27 +10,27 @@ import (
 
 func TestZeroOneCanonical(t *testing.T) {
 	tab := NewDefault()
-	if tab.Lookup(0) != tab.Zero {
+	if tab.Lookup(0) != Zero {
 		t.Fatal("Lookup(0) did not return canonical Zero")
 	}
-	if tab.Lookup(1) != tab.One {
+	if tab.Lookup(1) != One {
 		t.Fatal("Lookup(1) did not return canonical One")
 	}
-	if tab.Zero.Complex() != 0 {
-		t.Fatalf("Zero holds %v", tab.Zero.Complex())
+	if tab.Value(Zero) != 0 {
+		t.Fatalf("Zero holds %v", tab.Value(Zero))
 	}
-	if tab.One.Complex() != 1 {
-		t.Fatalf("One holds %v", tab.One.Complex())
+	if tab.Value(One) != 1 {
+		t.Fatalf("One holds %v", tab.Value(One))
 	}
 }
 
 func TestSnapToZeroAndOne(t *testing.T) {
 	tab := NewDefault()
 	eps := tab.Tolerance() / 2
-	if tab.Lookup(complex(eps, -eps)) != tab.Zero {
+	if tab.Lookup(complex(eps, -eps)) != Zero {
 		t.Error("value within tolerance of 0 did not snap to Zero")
 	}
-	if tab.Lookup(complex(1-eps, eps)) != tab.One {
+	if tab.Lookup(complex(1-eps, eps)) != One {
 		t.Error("value within tolerance of 1 did not snap to One")
 	}
 }
@@ -42,11 +42,11 @@ func TestInterningWithinTolerance(t *testing.T) {
 	b := tab.Lookup(base + complex(tab.Tolerance()/3, 0))
 	c := tab.Lookup(base + complex(0, -tab.Tolerance()/3))
 	if a != b || a != c {
-		t.Error("values within tolerance interned to distinct pointers")
+		t.Error("values within tolerance interned to distinct refs")
 	}
 	d := tab.Lookup(base + complex(10*tab.Tolerance(), 0))
 	if a == d {
-		t.Error("clearly distinct values interned to the same pointer")
+		t.Error("clearly distinct values interned to the same ref")
 	}
 }
 
@@ -68,34 +68,35 @@ func TestArithmeticHelpers(t *testing.T) {
 	a := tab.Lookup(complex(0.5, 0.25))
 	b := tab.Lookup(complex(-0.125, 2))
 
-	if got := tab.Mul(a, b).Complex(); cmplx.Abs(got-a.Complex()*b.Complex()) > 1e-9 {
+	av, bv := tab.Value(a), tab.Value(b)
+	if got := tab.Value(tab.Mul(a, b)); cmplx.Abs(got-av*bv) > 1e-9 {
 		t.Errorf("Mul = %v", got)
 	}
-	if got := tab.Add(a, b).Complex(); cmplx.Abs(got-(a.Complex()+b.Complex())) > 1e-9 {
+	if got := tab.Value(tab.Add(a, b)); cmplx.Abs(got-(av+bv)) > 1e-9 {
 		t.Errorf("Add = %v", got)
 	}
-	if got := tab.Div(a, b).Complex(); cmplx.Abs(got-a.Complex()/b.Complex()) > 1e-9 {
+	if got := tab.Value(tab.Div(a, b)); cmplx.Abs(got-av/bv) > 1e-9 {
 		t.Errorf("Div = %v", got)
 	}
-	if got := tab.Neg(a).Complex(); got != -a.Complex() {
+	if got := tab.Value(tab.Neg(a)); got != -av {
 		t.Errorf("Neg = %v", got)
 	}
-	if got := tab.Conj(a).Complex(); got != cmplx.Conj(a.Complex()) {
+	if got := tab.Value(tab.Conj(a)); got != cmplx.Conj(av) {
 		t.Errorf("Conj = %v", got)
 	}
 
 	// Identity shortcuts.
-	if tab.Mul(tab.One, b) != b || tab.Mul(b, tab.One) != b {
-		t.Error("Mul by One must return the operand pointer")
+	if tab.Mul(One, b) != b || tab.Mul(b, One) != b {
+		t.Error("Mul by One must return the operand ref")
 	}
-	if tab.Mul(tab.Zero, b) != tab.Zero {
+	if tab.Mul(Zero, b) != Zero {
 		t.Error("Mul by Zero must return Zero")
 	}
-	if tab.Add(tab.Zero, b) != b {
-		t.Error("Add of Zero must return the operand pointer")
+	if tab.Add(Zero, b) != b {
+		t.Error("Add of Zero must return the operand ref")
 	}
 	if tab.Conj(tab.LookupReal(0.75)) != tab.LookupReal(0.75) {
-		t.Error("Conj of a real value must return the same pointer")
+		t.Error("Conj of a real value must return the same ref")
 	}
 }
 
@@ -106,7 +107,7 @@ func TestDivByZeroPanics(t *testing.T) {
 			t.Error("Div by Zero did not panic")
 		}
 	}()
-	tab.Div(tab.One, tab.Zero)
+	tab.Div(One, Zero)
 }
 
 func TestInvalidTolerancePanics(t *testing.T) {
@@ -134,14 +135,14 @@ func TestStats(t *testing.T) {
 
 func TestIDsAreUnique(t *testing.T) {
 	tab := NewDefault()
-	seen := make(map[uint64]bool)
+	seen := make(map[Ref]bool)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 1000; i++ {
 		v := tab.Lookup(complex(rng.Float64()*2-1, rng.Float64()*2-1))
-		if v.ID() >= uint64(tab.Size()) {
-			t.Fatalf("ID %d out of range (size %d)", v.ID(), tab.Size())
+		if int(v) >= tab.Size() {
+			t.Fatalf("ref %d out of range (size %d)", v, tab.Size())
 		}
-		seen[v.ID()] = true
+		seen[v] = true
 	}
 	if len(seen) < 2 {
 		t.Fatal("interning collapsed everything; suspicious")
@@ -149,7 +150,7 @@ func TestIDsAreUnique(t *testing.T) {
 }
 
 // Property: Lookup is idempotent — looking up the numeric value of an
-// interned entry returns the same pointer.
+// interned entry returns the same ref.
 func TestQuickLookupIdempotent(t *testing.T) {
 	tab := NewDefault()
 	f := func(re, im float64) bool {
@@ -159,7 +160,7 @@ func TestQuickLookupIdempotent(t *testing.T) {
 			return true
 		}
 		v := tab.Lookup(complex(re, im))
-		return tab.Lookup(v.Complex()) == v
+		return tab.Lookup(tab.Value(v)) == v
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -177,8 +178,8 @@ func TestQuickLookupWithinTolerance(t *testing.T) {
 		}
 		c := complex(re, im)
 		v := tab.Lookup(c)
-		return math.Abs(real(v.Complex())-re) <= tab.Tolerance() &&
-			math.Abs(imag(v.Complex())-im) <= tab.Tolerance()
+		return math.Abs(real(tab.Value(v))-re) <= tab.Tolerance() &&
+			math.Abs(imag(tab.Value(v))-im) <= tab.Tolerance()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -188,25 +189,18 @@ func TestQuickLookupWithinTolerance(t *testing.T) {
 func TestAbsHelpers(t *testing.T) {
 	tab := NewDefault()
 	v := tab.Lookup(complex(3, 4))
-	if v.Abs() != 5 {
-		t.Errorf("Abs = %g", v.Abs())
+	if tab.Abs(v) != 5 {
+		t.Errorf("Abs = %g", tab.Abs(v))
 	}
-	if v.Abs2() != 25 {
-		t.Errorf("Abs2 = %g", v.Abs2())
-	}
-	if v.Real() != 3 || v.Imag() != 4 {
-		t.Errorf("Real/Imag = %g/%g", v.Real(), v.Imag())
+	if tab.Abs2(v) != 25 {
+		t.Errorf("Abs2 = %g", tab.Abs2(v))
 	}
 }
 
 func TestStringFormat(t *testing.T) {
 	tab := NewDefault()
-	if s := tab.Lookup(complex(1, -1)).String(); s != "1-1i" {
-		t.Errorf("String = %q", s)
-	}
-	var nilV *Value
-	if s := nilV.String(); s != "<nil>" {
-		t.Errorf("nil String = %q", s)
+	if s := tab.Format(tab.Lookup(complex(1, -1))); s != "1-1i" {
+		t.Errorf("Format = %q", s)
 	}
 }
 

@@ -34,7 +34,7 @@ import (
 // limit, in which case GC resets it together with the table.
 
 // applyClass labels the structure of the 2×2 matrix being applied, detected
-// from the interned entries (pointer comparison against the canonical zero).
+// from the interned entries (ref comparison against the canonical zero).
 type applyClass uint8
 
 const (
@@ -73,7 +73,7 @@ type apEntry struct {
 // recurrence in phase-heavy circuits — therefore share one entry.
 type apbEntry struct {
 	x, y  VRef
-	ratio *cn.Value
+	ratio cn.Ref
 	gid   uint32
 	op    uint8
 	res   VEdge
@@ -84,7 +84,7 @@ type apbEntry struct {
 // interned matrix entries, the target level, the control masks (lowCtl is
 // the subset of controls strictly below the target) and the memoization id.
 type applySpec struct {
-	w00, w01, w10, w11 *cn.Value
+	w00, w01, w10, w11 cn.Ref
 	target             int
 	ctl, neg, lowCtl   uint64
 	class              applyClass
@@ -140,11 +140,10 @@ func (p *Package) buildApplySpec(u [2][2]complex128, target int, controls []Cont
 		neg:    neg,
 	}
 	s.lowCtl = s.ctl & (uint64(1)<<uint(target) - 1)
-	zero := p.CN.Zero
 	switch {
-	case s.w01 == zero && s.w10 == zero:
+	case s.w01 == cn.Zero && s.w10 == cn.Zero:
 		s.class = applyDiagonal
-	case s.w00 == zero && s.w11 == zero:
+	case s.w00 == cn.Zero && s.w11 == cn.Zero:
 		s.class = applyAntidiag
 	default:
 		s.class = applyGeneric
@@ -180,7 +179,7 @@ func (p *Package) ApplyGateV(u [2][2]complex128, target int, controls []Control,
 	s := p.buildApplySpec(u, target, controls)
 	p.faultPoint()
 	p.countApply(s.class)
-	if x.W == p.CN.Zero {
+	if x.W == cn.Zero {
 		return p.VZero()
 	}
 	return p.applyRec(&s, x)
@@ -239,7 +238,7 @@ func (p *Package) ApplyPrepared(g *PreparedGate, x VEdge) VEdge {
 	}
 	p.faultPoint()
 	p.countApply(g.spec.class)
-	if x.W == p.CN.Zero {
+	if x.W == cn.Zero {
 		return p.VZero()
 	}
 	return p.applyRec(&g.spec, x)
@@ -249,7 +248,7 @@ func (p *Package) ApplyPrepared(g *PreparedGate, x VEdge) VEdge {
 // above the gate's top level (guaranteed by the full-chain invariant for any
 // register-wide state).
 func (p *Package) applyRec(s *applySpec, x VEdge) VEdge {
-	if x.W == p.CN.Zero {
+	if x.W == cn.Zero {
 		return p.VZero()
 	}
 	n := x.N
@@ -274,13 +273,13 @@ func (p *Package) applyRec(s *applySpec, x VEdge) VEdge {
 			if r0 := p.applyRec(s, e0); r0 != e0 {
 				res = p.makeVNode(v, r0, e1)
 			} else {
-				res = VEdge{W: p.CN.One, N: n} // subtree unchanged
+				res = VEdge{W: cn.One, N: n} // subtree unchanged
 			}
 		} else {
 			if r1 := p.applyRec(s, e1); r1 != e1 {
 				res = p.makeVNode(v, e0, r1)
 			} else {
-				res = VEdge{W: p.CN.One, N: n}
+				res = VEdge{W: cn.One, N: n}
 			}
 		}
 	default:
@@ -288,7 +287,7 @@ func (p *Package) applyRec(s *applySpec, x VEdge) VEdge {
 		r0 := p.applyRec(s, e0)
 		r1 := p.applyRec(s, e1)
 		if r0 == e0 && r1 == e1 {
-			res = VEdge{W: p.CN.One, N: n} // subtree unchanged
+			res = VEdge{W: cn.One, N: n} // subtree unchanged
 		} else {
 			res = p.makeVNode(v, r0, r1)
 		}
@@ -347,7 +346,7 @@ func (s *applySpec) remCtl(p *Package, n VRef) uint64 {
 // (bar=false), or onto its complement (bar=true).  The two projections sum
 // to x, which is what applyTarget relies on.
 func (p *Package) proj(s *applySpec, x VEdge, bar bool) VEdge {
-	if x.W == p.CN.Zero {
+	if x.W == cn.Zero {
 		return p.VZero()
 	}
 	n := x.N
@@ -399,11 +398,10 @@ func (p *Package) proj(s *applySpec, x VEdge, bar bool) VEdge {
 // cofactors of a and b keep mixing while the non-firing cofactor is taken
 // from a alone, and below the last control the answer is simply b.
 func (p *Package) mixFire(s *applySpec, a, b VEdge, op uint8) VEdge {
-	zero := p.CN.Zero
-	if a.W == zero {
+	if a.W == cn.Zero {
 		return p.proj(s, b, false)
 	}
-	if b.W == zero {
+	if b.W == cn.Zero {
 		return p.proj(s, a, true)
 	}
 	if s.remCtl(p, a.N) == 0 {
@@ -413,7 +411,7 @@ func (p *Package) mixFire(s *applySpec, a, b VEdge, op uint8) VEdge {
 	// first operand and a ratio-weighted second, and rescaled on hit.
 	ratio := p.CN.Div(b.W, a.W)
 	n, m := a.N, b.N
-	h := mix(mix(mix(mix(0x8A91A6D40BF42040, uint64(s.gid)<<3|uint64(op)), uint64(n)), uint64(m)), ratio.ID())
+	h := mix(mix(mix(mix(0x8A91A6D40BF42040, uint64(s.gid)<<3|uint64(op)), uint64(n)), uint64(m)), uint64(ratio))
 	if ent := p.apb.slot(h); ent != nil && ent.ok && ent.x == n && ent.y == m &&
 		ent.ratio == ratio && ent.gid == s.gid && ent.op == op {
 		p.applyHits++
@@ -447,11 +445,11 @@ func (p *Package) mixFire(s *applySpec, a, b VEdge, op uint8) VEdge {
 // untouched — the effect of a diagonal matrix entry under the remaining low
 // controls.  The op parameter keeps the two diagonal entries' memo entries
 // apart.
-func (p *Package) ctlScale(s *applySpec, x VEdge, w *cn.Value, op uint8) VEdge {
-	if x.W == p.CN.Zero {
+func (p *Package) ctlScale(s *applySpec, x VEdge, w cn.Ref, op uint8) VEdge {
+	if x.W == cn.Zero {
 		return p.VZero()
 	}
-	if w == p.CN.One {
+	if w == cn.One {
 		return x // scaling the firing subspace by 1 is the identity
 	}
 	n := x.N
@@ -477,7 +475,7 @@ func (p *Package) ctlScale(s *applySpec, x VEdge, w *cn.Value, op uint8) VEdge {
 		r0 := p.ctlScale(s, e0, w, op)
 		r1 := p.ctlScale(s, e1, w, op)
 		if r0 == e0 && r1 == e1 {
-			res = VEdge{W: p.CN.One, N: n}
+			res = VEdge{W: cn.One, N: n}
 		} else {
 			res = p.makeVNode(v, r0, r1)
 		}

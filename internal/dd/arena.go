@@ -5,19 +5,17 @@ import "qcec/internal/cn"
 // Arena-backed node storage.  Nodes do not live as individually allocated Go
 // objects: each Package owns one vector arena and one matrix arena, growable
 // struct-of-arrays slabs addressed by 32-bit indices.  Edges (VEdge, MEdge)
-// carry those indices instead of heap pointers, and the unique tables map
-// node signatures to indices.
+// carry those indices and a cn.Ref weight instead of heap pointers, and the
+// unique tables (utab.go) index the slots by node signature.
 //
 // This buys the two things a multicore stimulus fleet needs from its hottest
 // data structure:
 //
 //   - GC economy.  A simulation run used to allocate millions of small
 //     VNode/MNode objects that Go's collector had to trace individually.
-//     The arena collapses them into a handful of large slices, and the
-//     struct-of-arrays split keeps the pointer-bearing data (the child
-//     weight slots, which reference interned cn.Values) in dedicated arrays
-//     while the child indices and levels are pointer-free and invisible to
-//     the Go GC entirely.
+//     The arena collapses them into a handful of large slices, and every
+//     slice is pointer-free — levels, child indices and child weight refs
+//     are plain integers — so the Go GC never scans node data at all.
 //   - Cheap recycling.  The package's own mark/sweep (see GC) returns dead
 //     slots to a free list instead of handing garbage to the Go runtime, and
 //     Package.Reset recycles the slabs in place — a pooled worker package
@@ -46,20 +44,20 @@ type VRef uint32
 type MRef uint32
 
 // vArena is the struct-of-arrays backing store for vector nodes: slot i of
-// each array holds one field of node i.  lv and ch are pointer-free; only wt
-// is scanned by the Go GC.
+// each array holds one field of node i.  All four arrays are pointer-free.
+// A free slot (and the terminal, slot 0) has level -1.
 type vArena struct {
-	lv   []int8         // qubit level
-	ch   [][2]VRef      // successor refs
-	wt   [][2]*cn.Value // successor weights (interned)
-	free []VRef         // freed slots awaiting reuse
+	lv   []int8      // qubit level
+	ch   [][2]VRef   // successor refs
+	wt   [][2]cn.Ref // successor weights (interned)
+	free []VRef      // freed slots awaiting reuse
 }
 
 // mArena is the matrix counterpart of vArena (four successors, row*2+col).
 type mArena struct {
 	lv   []int8
 	ch   [][4]MRef
-	wt   [][4]*cn.Value
+	wt   [][4]cn.Ref
 	free []MRef
 }
 
@@ -73,14 +71,14 @@ const arenaInitCap = 1 << 8
 func (a *vArena) init() {
 	a.lv = make([]int8, 1, arenaInitCap)
 	a.ch = make([][2]VRef, 1, arenaInitCap)
-	a.wt = make([][2]*cn.Value, 1, arenaInitCap)
+	a.wt = make([][2]cn.Ref, 1, arenaInitCap)
 	a.lv[0] = -1 // slot 0: the terminal sentinel
 }
 
 func (a *mArena) init() {
 	a.lv = make([]int8, 1, arenaInitCap)
 	a.ch = make([][4]MRef, 1, arenaInitCap)
-	a.wt = make([][4]*cn.Value, 1, arenaInitCap)
+	a.wt = make([][4]cn.Ref, 1, arenaInitCap)
 	a.lv[0] = -1
 }
 
@@ -93,7 +91,7 @@ func (a *vArena) alloc() VRef {
 	}
 	a.lv = append(a.lv, 0)
 	a.ch = append(a.ch, [2]VRef{})
-	a.wt = append(a.wt, [2]*cn.Value{})
+	a.wt = append(a.wt, [2]cn.Ref{})
 	return VRef(len(a.lv) - 1)
 }
 
@@ -105,24 +103,25 @@ func (a *mArena) alloc() MRef {
 	}
 	a.lv = append(a.lv, 0)
 	a.ch = append(a.ch, [4]MRef{})
-	a.wt = append(a.wt, [4]*cn.Value{})
+	a.wt = append(a.wt, [4]cn.Ref{})
 	return MRef(len(a.lv) - 1)
 }
 
-// release returns a slot to the free list.  The slot is scrubbed so a stale
-// index fails loudly (nil weight dereference) instead of silently reading a
-// recycled node.
+// release returns a slot to the free list.  The slot is scrubbed to level
+// -1, so an operation on a stale index fails its level check loudly instead
+// of silently reading a dead node, and the sweeps (GC, the unique-table
+// rebuilds) can tell free slots from live ones.
 func (a *vArena) release(r VRef) {
 	a.lv[r] = -1
 	a.ch[r] = [2]VRef{}
-	a.wt[r] = [2]*cn.Value{}
+	a.wt[r] = [2]cn.Ref{}
 	a.free = append(a.free, r)
 }
 
 func (a *mArena) release(r MRef) {
 	a.lv[r] = -1
 	a.ch[r] = [4]MRef{}
-	a.wt[r] = [4]*cn.Value{}
+	a.wt[r] = [4]cn.Ref{}
 	a.free = append(a.free, r)
 }
 

@@ -1,6 +1,10 @@
 package dd
 
-import "testing"
+import (
+	"testing"
+
+	"qcec/internal/cn"
+)
 
 // buildEntangled applies H to qubit 0 and a CX ladder, creating a handful of
 // distinct interior nodes on p.
@@ -46,9 +50,9 @@ func TestArenaSlotReuse(t *testing.T) {
 	}
 }
 
-// TestArenaReleaseScrubs: a freed slot is scrubbed (level -1, nil weights),
-// so code dereferencing a stale ref fails loudly instead of silently reading
-// whatever node recycled the slot.
+// TestArenaReleaseScrubs: a freed slot is scrubbed (level -1, zero weights,
+// terminal children), so an operation on a stale ref fails its level check
+// loudly until the slot is recycled.
 func TestArenaReleaseScrubs(t *testing.T) {
 	p := New(3, 1e-10)
 	st := buildEntangled(p)
@@ -60,7 +64,7 @@ func TestArenaReleaseScrubs(t *testing.T) {
 	if lv := p.vA.lv[stale]; lv != -1 {
 		t.Errorf("freed slot keeps level %d, want -1", lv)
 	}
-	if w := p.vA.wt[stale]; w[0] != nil || w[1] != nil {
+	if w := p.vA.wt[stale]; w != [2]cn.Ref{} {
 		t.Errorf("freed slot keeps weights %v", w)
 	}
 }

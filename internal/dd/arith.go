@@ -71,14 +71,14 @@ func mix(h, x uint64) uint64 {
 
 type addVEntry struct {
 	aN, bN VRef
-	aW, bW *cn.Value
+	aW, bW cn.Ref
 	res    VEdge
 	ok     bool
 }
 
 type addMEntry struct {
 	aN, bN MRef
-	aW, bW *cn.Value
+	aW, bW cn.Ref
 	res    MEdge
 	ok     bool
 }
@@ -133,11 +133,10 @@ func (p *Package) clearComputeTables() {
 // AddV returns the sum of two vector DDs.  Both operands must be rooted at
 // the same level (or be terminal/zero edges).
 func (p *Package) AddV(a, b VEdge) VEdge {
-	zero := p.CN.Zero
-	if a.W == zero {
+	if a.W == cn.Zero {
 		return b
 	}
-	if b.W == zero {
+	if b.W == cn.Zero {
 		return a
 	}
 	if a.N == 0 && b.N == 0 {
@@ -148,7 +147,7 @@ func (p *Package) AddV(a, b VEdge) VEdge {
 	}
 	if a.N == b.N { // same function: weights add directly
 		w := p.CN.Add(a.W, b.W)
-		if w == zero {
+		if w == cn.Zero {
 			return p.VZero()
 		}
 		return VEdge{W: w, N: a.N}
@@ -156,7 +155,7 @@ func (p *Package) AddV(a, b VEdge) VEdge {
 	if b.N < a.N { // commutative: canonical operand order
 		a, b = b, a
 	}
-	h := mix(mix(mix(mix(14695981039346656037, uint64(a.N)), a.W.ID()), uint64(b.N)), b.W.ID())
+	h := mix(mix(mix(mix(14695981039346656037, uint64(a.N)), uint64(a.W)), uint64(b.N)), uint64(b.W))
 	if ent := p.addV.slot(h); ent != nil && ent.ok && ent.aN == a.N && ent.bN == b.N && ent.aW == a.W && ent.bW == b.W {
 		p.cacheHits++
 		return ent.res
@@ -172,11 +171,10 @@ func (p *Package) AddV(a, b VEdge) VEdge {
 
 // AddM returns the sum of two matrix DDs rooted at the same level.
 func (p *Package) AddM(a, b MEdge) MEdge {
-	zero := p.CN.Zero
-	if a.W == zero {
+	if a.W == cn.Zero {
 		return b
 	}
-	if b.W == zero {
+	if b.W == cn.Zero {
 		return a
 	}
 	if a.N == 0 && b.N == 0 {
@@ -187,7 +185,7 @@ func (p *Package) AddM(a, b MEdge) MEdge {
 	}
 	if a.N == b.N {
 		w := p.CN.Add(a.W, b.W)
-		if w == zero {
+		if w == cn.Zero {
 			return p.MZero()
 		}
 		return MEdge{W: w, N: a.N}
@@ -195,7 +193,7 @@ func (p *Package) AddM(a, b MEdge) MEdge {
 	if b.N < a.N {
 		a, b = b, a
 	}
-	h := mix(mix(mix(mix(1099511628211, uint64(a.N)), a.W.ID()), uint64(b.N)), b.W.ID())
+	h := mix(mix(mix(mix(1099511628211, uint64(a.N)), uint64(a.W)), uint64(b.N)), uint64(b.W))
 	if ent := p.addM.slot(h); ent != nil && ent.ok && ent.aN == a.N && ent.bN == b.N && ent.aW == a.W && ent.bW == b.W {
 		p.cacheHits++
 		return ent.res
@@ -213,8 +211,7 @@ func (p *Package) AddM(a, b MEdge) MEdge {
 
 // MulMV applies the matrix DD m to the vector DD x (one simulation step).
 func (p *Package) MulMV(m MEdge, x VEdge) VEdge {
-	zero := p.CN.Zero
-	if m.W == zero || x.W == zero {
+	if m.W == cn.Zero || x.W == cn.Zero {
 		return p.VZero()
 	}
 	w := p.CN.Mul(m.W, x.W)
@@ -226,7 +223,7 @@ func (p *Package) MulMV(m MEdge, x VEdge) VEdge {
 	}
 	// Identity fast path: applying I(v+1 levels) is a no-op.
 	if v := p.mLv(m.N); v+1 < len(p.idents) && p.idents[v+1].N == m.N {
-		return p.scaleV(VEdge{W: p.CN.One, N: x.N}, w)
+		return p.scaleV(VEdge{W: cn.One, N: x.N}, w)
 	}
 	h := mix(mix(0x51ed270b, uint64(m.N)), uint64(x.N))
 	if ent := p.mv.slot(h); ent != nil && ent.ok && ent.m == m.N && ent.x == x.N {
@@ -245,8 +242,7 @@ func (p *Package) MulMV(m MEdge, x VEdge) VEdge {
 
 // MulMM returns the matrix product a·b (one equivalence-checking step).
 func (p *Package) MulMM(a, b MEdge) MEdge {
-	zero := p.CN.Zero
-	if a.W == zero || b.W == zero {
+	if a.W == cn.Zero || b.W == cn.Zero {
 		return p.MZero()
 	}
 	w := p.CN.Mul(a.W, b.W)
@@ -258,10 +254,10 @@ func (p *Package) MulMM(a, b MEdge) MEdge {
 	}
 	if v := p.mLv(a.N); v+1 < len(p.idents) {
 		if p.idents[v+1].N == a.N {
-			return p.scaleM(MEdge{W: p.CN.One, N: b.N}, w)
+			return p.scaleM(MEdge{W: cn.One, N: b.N}, w)
 		}
 		if p.idents[v+1].N == b.N {
-			return p.scaleM(MEdge{W: p.CN.One, N: a.N}, w)
+			return p.scaleM(MEdge{W: cn.One, N: a.N}, w)
 		}
 	}
 	h := mix(mix(0x2545F4914F6CDD1D, uint64(a.N)), uint64(b.N))
@@ -289,10 +285,10 @@ func (p *Package) MulMM(a, b MEdge) MEdge {
 // is exactly the quantity the paper compares per simulation run
 // (Sec. IV-A: <u_i|u'_i> = 1 for all i iff the circuits are equivalent).
 func (p *Package) InnerProduct(a, b VEdge) complex128 {
-	if a.W == p.CN.Zero || b.W == p.CN.Zero {
+	if a.W == cn.Zero || b.W == cn.Zero {
 		return 0
 	}
-	w := cmplx.Conj(a.W.Complex()) * b.W.Complex()
+	w := cmplx.Conj(p.CN.Value(a.W)) * p.CN.Value(b.W)
 	if a.N == 0 && b.N == 0 {
 		return w
 	}
@@ -328,7 +324,7 @@ func (p *Package) Norm(a VEdge) float64 {
 
 // ConjugateTranspose returns the adjoint of a matrix DD.
 func (p *Package) ConjugateTranspose(m MEdge) MEdge {
-	if m.W == p.CN.Zero {
+	if m.W == cn.Zero {
 		return p.MZero()
 	}
 	wc := p.CN.Conj(m.W)
@@ -355,7 +351,7 @@ func (p *Package) ConjugateTranspose(m MEdge) MEdge {
 // shifted up accordingly.  The caller must ensure the combined level range
 // fits the package.
 func (p *Package) KronM(a, b MEdge, bLevels int) MEdge {
-	if a.W == p.CN.Zero || b.W == p.CN.Zero {
+	if a.W == cn.Zero || b.W == cn.Zero {
 		return p.MZero()
 	}
 	if a.N == 0 {
@@ -382,7 +378,7 @@ func (p *Package) KronM(a, b MEdge, bLevels int) MEdge {
 // KronV returns a ⊗ b for state DDs, with b occupying the bLevels lowest
 // levels.
 func (p *Package) KronV(a, b VEdge, bLevels int) VEdge {
-	if a.W == p.CN.Zero || b.W == p.CN.Zero {
+	if a.W == cn.Zero || b.W == cn.Zero {
 		return p.VZero()
 	}
 	if a.N == 0 {

@@ -10,14 +10,15 @@
 // Design notes, mirroring the JKU/MQT DD package the paper builds on:
 //
 //   - Edge weights are interned in a cn.Table, so numerically equal weights
-//     are identical pointers.
+//     carry the same 32-bit cn.Ref.
 //   - Nodes live in per-package arenas (growable struct-of-arrays slabs, see
 //     arena.go) and are addressed by 32-bit indices; the per-kind unique
-//     tables map node signatures to indices, and nodes are normalized with
-//     the largest-magnitude rule (magnitudes tied within the weight
-//     tolerance break towards the lowest edge index), so two DDs represent
-//     the same function if and only if their root edges compare equal as
-//     (node index, weight pointer) pairs.
+//     tables (open-addressed, see utab.go) index node signatures to slots,
+//     and nodes are normalized with the largest-magnitude rule (magnitudes
+//     tied within the weight tolerance break towards the lowest edge
+//     index), so two DDs represent the same function if and only if their
+//     root edges compare equal as (node index, weight ref) pairs.  No node,
+//     edge or weight holds a Go pointer.
 //   - All non-zero paths visit a node at every level ("full chains"); only
 //     zero edges shortcut directly to the terminal.  This keeps every binary
 //     operation strictly level-synchronized.
@@ -50,14 +51,14 @@ import (
 // arena.go); N == 0 denotes the terminal, and VEdge{W: <zero>, N: 0} is the
 // canonical zero vector.
 type VEdge struct {
-	W *cn.Value
+	W cn.Ref
 	N VRef
 }
 
 // MEdge is a weighted edge into a matrix DD.  N == 0 denotes the terminal;
 // MEdge{W: <zero>, N: 0} is the canonical zero matrix.
 type MEdge struct {
-	W *cn.Value
+	W cn.Ref
 	N MRef
 }
 
@@ -69,18 +70,6 @@ type Control struct {
 	Neg   bool
 }
 
-type vKey struct {
-	v      int
-	w0, w1 *cn.Value
-	n0, n1 VRef
-}
-
-type mKey struct {
-	v              int
-	w0, w1, w2, w3 *cn.Value
-	n0, n1, n2, n3 MRef
-}
-
 // gateKey identifies a full-register gate DD: the four interned entries of
 // the 2×2 operation matrix, the target qubit, and the positive/negative
 // control sets encoded as bitmasks (exact for MaxQubits = 64).  Because the
@@ -88,7 +77,7 @@ type mKey struct {
 // to the weight tolerance share a key — the same equivalence the DD itself
 // applies to edge weights.
 type gateKey struct {
-	w00, w01, w10, w11 *cn.Value
+	w00, w01, w10, w11 cn.Ref
 	target             int
 	posCtl, negCtl     uint64
 }
@@ -99,16 +88,17 @@ type Package struct {
 	n  int
 	CN *cn.Table
 
-	// vA and mA are the node arenas (see arena.go); the unique tables map
-	// node signatures to arena indices.  An index doubles as the node's id
-	// for compute-table hashing and commutative operand ordering: it is a
-	// stable total order over live nodes, and index reuse after a sweep can
-	// never alias a cached entry because every collection clears the compute
-	// tables before slots return to the free list.
-	vA      vArena
-	mA      mArena
-	vUnique map[vKey]VRef
-	mUnique map[mKey]MRef
+	// vA and mA are the node arenas (see arena.go); vU and mU are their
+	// unique tables (see utab.go), which index the arena slots by node
+	// signature.  An index doubles as the node's id for compute-table
+	// hashing and commutative operand ordering: it is a stable total order
+	// over live nodes, and index reuse after a sweep can never alias a
+	// cached entry because every collection clears the compute tables
+	// before slots return to the free list.
+	vA vArena
+	mA mArena
+	vU utab
+	mU utab
 	// nodesCreated is the per-job counter behind Stats.NodesCreated; Reset
 	// zeroes it so a pooled package reports only its current job's work.
 	nodesCreated uint64
@@ -361,8 +351,6 @@ func New(n int, tol float64) *Package {
 	p := &Package{
 		n:           n,
 		CN:          cn.NewTable(tol),
-		vUnique:     make(map[vKey]VRef, 1024),
-		mUnique:     make(map[mKey]MRef, 1024),
 		gcThreshold: DefaultGCThreshold,
 		gcBase:      DefaultGCThreshold,
 
@@ -372,10 +360,12 @@ func New(n int, tol float64) *Package {
 	}
 	p.vA.init()
 	p.mA.init()
+	p.vU.init()
+	p.mU.init()
 	if box, ok := defaultInjector.Load().(injectorBox); ok {
 		p.faults = box.fi
 	}
-	p.idents = []MEdge{{W: p.CN.One, N: 0}}
+	p.idents = []MEdge{{W: cn.One, N: 0}}
 	return p
 }
 
@@ -387,7 +377,7 @@ func (p *Package) Qubits() int { return p.n }
 
 // NodeCount returns the current unique-table population (vector plus matrix
 // nodes).
-func (p *Package) NodeCount() int { return len(p.vUnique) + len(p.mUnique) }
+func (p *Package) NodeCount() int { return p.vU.count + p.mU.count }
 
 // Stats is a snapshot of the package's internal activity, exposed for the
 // benchmark harness, the CLI's -stats flag and for performance debugging.
@@ -396,9 +386,9 @@ func (p *Package) NodeCount() int { return len(p.vUnique) + len(p.mUnique) }
 // monotonically increasing counters.  CacheHits/CacheMisses cover the
 // operation compute tables (add, mul, inner product, ...); the unique-table
 // counters measure hash-consing effectiveness (a "hit" is a makeNode call
-// that found a structurally identical node already interned — with Go's
-// map-backed unique tables a miss is an insertion, and genuine bucket
-// collisions are invisible); the gate counters cover the gate-DD cache.
+// that found a structurally identical node already interned, a miss is an
+// insertion; probe lengths of the open-addressed tables are not counted);
+// the gate counters cover the gate-DD cache.
 type Stats struct {
 	VectorNodes   int
 	MatrixNodes   int
@@ -430,8 +420,8 @@ type Stats struct {
 func (p *Package) Snapshot() Stats {
 	wl, wh := p.CN.Stats()
 	return Stats{
-		VectorNodes:   len(p.vUnique),
-		MatrixNodes:   len(p.mUnique),
+		VectorNodes:   p.vU.count,
+		MatrixNodes:   p.mU.count,
 		WeightsStored: p.CN.Size(),
 		GateCacheSize: len(p.gateCache),
 		NodesCreated:  p.nodesCreated,
@@ -554,10 +544,10 @@ func (p *Package) SetGateCacheLimit(n int) {
 }
 
 // VZero returns the canonical zero vector edge.
-func (p *Package) VZero() VEdge { return VEdge{W: p.CN.Zero, N: 0} }
+func (p *Package) VZero() VEdge { return VEdge{W: cn.Zero, N: 0} }
 
 // MZero returns the canonical zero matrix edge.
-func (p *Package) MZero() MEdge { return MEdge{W: p.CN.Zero, N: 0} }
+func (p *Package) MZero() MEdge { return MEdge{W: cn.Zero, N: 0} }
 
 // VTerminal returns a terminal vector edge carrying the given scalar.
 func (p *Package) VTerminal(c complex128) VEdge {
@@ -576,56 +566,41 @@ func (p *Package) MTerminal(c complex128) MEdge {
 // choice is stable when different computation orders of the same function
 // produce floating-point noise around an exact tie.
 func (p *Package) makeVNode(v int, e0, e1 VEdge) VEdge {
-	zero := p.CN.Zero
-	if e0.W == zero && e1.W == zero {
+	if e0.W == cn.Zero && e1.W == cn.Zero {
 		return p.VZero()
 	}
 	k := 0
-	if a0, a1 := e0.W.Abs2(), e1.W.Abs2(); a1-a0 > p.CN.Tolerance()*(a0+a1) {
+	if a0, a1 := p.CN.Abs2(e0.W), p.CN.Abs2(e1.W); a1-a0 > p.CN.Tolerance()*(a0+a1) {
 		k = 1
 	}
-	var top *cn.Value
+	var top cn.Ref
 	if k == 0 {
 		top = e0.W
-		e0.W = p.CN.One
-		if e1.W != zero {
+		e0.W = cn.One
+		if e1.W != cn.Zero {
 			e1.W = p.CN.Div(e1.W, top)
 		}
 	} else {
 		top = e1.W
-		e1.W = p.CN.One
-		if e0.W != zero {
+		e1.W = cn.One
+		if e0.W != cn.Zero {
 			e0.W = p.CN.Div(e0.W, top)
 		}
 	}
-	key := vKey{v: v, w0: e0.W, w1: e1.W, n0: e0.N, n1: e1.N}
-	p.uniqueLookups++
-	node, ok := p.vUnique[key]
-	if ok {
-		p.uniqueHits++
-	} else {
-		node = p.vA.alloc()
-		p.vA.lv[node] = int8(v)
-		p.vA.ch[node] = [2]VRef{e0.N, e1.N}
-		p.vA.wt[node] = [2]*cn.Value{e0.W, e1.W}
-		p.vUnique[key] = node
-		p.nodesCreated++
-		p.checkLimit()
-	}
+	node := p.internV(v, [2]VRef{e0.N, e1.N}, [2]cn.Ref{e0.W, e1.W})
 	return VEdge{W: top, N: node}
 }
 
 // makeMNode is the matrix counterpart of makeVNode (including the
 // tolerance tie band on the largest-magnitude pick).
 func (p *Package) makeMNode(v int, e [4]MEdge) MEdge {
-	zero := p.CN.Zero
 	k := -1
 	var max float64
 	for i := 0; i < 4; i++ {
-		if e[i].W == zero {
+		if e[i].W == cn.Zero {
 			continue
 		}
-		if a := e[i].W.Abs2(); k < 0 || a-max > p.CN.Tolerance()*(a+max) {
+		if a := p.CN.Abs2(e[i].W); k < 0 || a-max > p.CN.Tolerance()*(a+max) {
 			k, max = i, a
 		}
 	}
@@ -636,49 +611,34 @@ func (p *Package) makeMNode(v int, e [4]MEdge) MEdge {
 	for i := 0; i < 4; i++ {
 		switch {
 		case i == k:
-			e[i].W = p.CN.One
-		case e[i].W != zero:
+			e[i].W = cn.One
+		case e[i].W != cn.Zero:
 			e[i].W = p.CN.Div(e[i].W, top)
 		}
 	}
-	key := mKey{
-		v:  v,
-		w0: e[0].W, w1: e[1].W, w2: e[2].W, w3: e[3].W,
-		n0: e[0].N, n1: e[1].N, n2: e[2].N, n3: e[3].N,
-	}
-	p.uniqueLookups++
-	node, ok := p.mUnique[key]
-	if ok {
-		p.uniqueHits++
-	} else {
-		node = p.mA.alloc()
-		p.mA.lv[node] = int8(v)
-		p.mA.ch[node] = [4]MRef{e[0].N, e[1].N, e[2].N, e[3].N}
-		p.mA.wt[node] = [4]*cn.Value{e[0].W, e[1].W, e[2].W, e[3].W}
-		p.mUnique[key] = node
-		p.nodesCreated++
-		p.checkLimit()
-	}
+	node := p.internM(v,
+		[4]MRef{e[0].N, e[1].N, e[2].N, e[3].N},
+		[4]cn.Ref{e[0].W, e[1].W, e[2].W, e[3].W})
 	return MEdge{W: top, N: node}
 }
 
 // scaleV multiplies an edge weight by w.
-func (p *Package) scaleV(e VEdge, w *cn.Value) VEdge {
-	if w == p.CN.One {
+func (p *Package) scaleV(e VEdge, w cn.Ref) VEdge {
+	if w == cn.One {
 		return e
 	}
-	if w == p.CN.Zero || e.W == p.CN.Zero {
+	if w == cn.Zero || e.W == cn.Zero {
 		return p.VZero()
 	}
 	return VEdge{W: p.CN.Mul(e.W, w), N: e.N}
 }
 
 // scaleM multiplies an edge weight by w.
-func (p *Package) scaleM(e MEdge, w *cn.Value) MEdge {
-	if w == p.CN.One {
+func (p *Package) scaleM(e MEdge, w cn.Ref) MEdge {
+	if w == cn.One {
 		return e
 	}
-	if w == p.CN.Zero || e.W == p.CN.Zero {
+	if w == cn.Zero || e.W == cn.Zero {
 		return p.MZero()
 	}
 	return MEdge{W: p.CN.Mul(e.W, w), N: e.N}
@@ -710,9 +670,9 @@ func (p *Package) IsIdentity(m MEdge, strict bool) bool {
 		return false
 	}
 	if strict {
-		return m.W == p.CN.One
+		return m.W == cn.One
 	}
-	mag := m.W.Abs()
+	mag := p.CN.Abs(m.W)
 	return mag > 1-16*p.CN.Tolerance() && mag < 1+16*p.CN.Tolerance()
 }
 
@@ -721,7 +681,7 @@ func (p *Package) BasisState(i uint64) VEdge {
 	if p.n < 64 && i >= uint64(1)<<uint(p.n) {
 		panic(fmt.Sprintf("dd: basis state %d out of range for %d qubits", i, p.n))
 	}
-	e := VEdge{W: p.CN.One, N: 0}
+	e := VEdge{W: cn.One, N: 0}
 	for z := 0; z < p.n; z++ {
 		if (i>>uint(z))&1 == 0 {
 			e = p.makeVNode(z, e, p.VZero())

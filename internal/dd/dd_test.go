@@ -240,7 +240,7 @@ func TestAddVAgainstDense(t *testing.T) {
 	// a + (-a) = 0.
 	neg := p.scaleV(a, p.CN.LookupReal(-1))
 	zero := p.AddV(a, neg)
-	if zero.W != p.CN.Zero || zero.N != 0 {
+	if zero.W != cn.Zero || zero.N != 0 {
 		t.Error("a + (-a) is not the canonical zero edge")
 	}
 }
@@ -267,7 +267,7 @@ func TestAddVCommutesAndAssociates(t *testing.T) {
 	if abc1.N != abc2.N {
 		t.Error("AddV associativity broke node canonicity")
 	}
-	d := cmplx.Abs(abc1.W.Complex() - abc2.W.Complex())
+	d := cmplx.Abs(p.CN.Value(abc1.W) - p.CN.Value(abc2.W))
 	if d > 1e-9 {
 		t.Errorf("AddV associativity weight mismatch %g", d)
 	}
@@ -358,8 +358,8 @@ func TestKronAgainstDense(t *testing.T) {
 func TestKronV(t *testing.T) {
 	p := NewDefault(2)
 	// |1> ⊗ |0> = |10>
-	one := p.makeVNode(0, p.VZero(), VEdge{W: p.CN.One})
-	zero := p.makeVNode(0, VEdge{W: p.CN.One}, p.VZero())
+	one := p.makeVNode(0, p.VZero(), VEdge{W: cn.One})
+	zero := p.makeVNode(0, VEdge{W: cn.One}, p.VZero())
 	kr := p.KronV(one, zero, 1)
 	if got := p.Amplitude(kr, 2); cmplx.Abs(got-1) > 1e-12 {
 		t.Fatalf("KronV |10> amplitude = %v", got)
@@ -598,7 +598,7 @@ func TestQuickMulMMAssociativeClifford(t *testing.T) {
 		if l.N != r.N {
 			return false
 		}
-		return cmplx.Abs(l.W.Complex()-r.W.Complex()) < 1e-9
+		return cmplx.Abs(p.CN.Value(l.W)-p.CN.Value(r.W)) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -762,7 +762,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Fatalf("fresh basis state invalid: %v", err)
 	}
 	// A zero edge pointing at a node is invalid.
-	bad := VEdge{W: p.CN.Zero, N: st.N}
+	bad := VEdge{W: cn.Zero, N: st.N}
 	if err := p.ValidateV(bad); err == nil {
 		t.Error("zero edge with node accepted")
 	}

@@ -84,21 +84,25 @@ func (p *Package) GC(rootsV []VEdge, rootsM []MEdge) int {
 		p.apEpoch++
 	}
 
+	// Sweep in slot order, so the free lists — and with them every ref
+	// handed out after the collection — depend only on the operation
+	// sequence, then rebuild the unique tables from the survivors at their
+	// current capacity.
 	removed := 0
-	for k, n := range p.vUnique {
-		if !markedV.has(uint32(n)) {
-			delete(p.vUnique, k)
-			p.vA.release(n)
+	for n := 1; n < p.vA.slots(); n++ {
+		if p.vA.lv[n] >= 0 && !markedV.has(uint32(n)) {
+			p.vA.release(VRef(n))
 			removed++
 		}
 	}
-	for k, n := range p.mUnique {
-		if !markedM.has(uint32(n)) {
-			delete(p.mUnique, k)
-			p.mA.release(n)
+	for n := 1; n < p.mA.slots(); n++ {
+		if p.mA.lv[n] >= 0 && !markedM.has(uint32(n)) {
+			p.mA.release(MRef(n))
 			removed++
 		}
 	}
+	p.rebuildV(len(p.vU.slots))
+	p.rebuildM(len(p.mU.slots))
 	p.clearComputeTables()
 	p.gcRuns++
 	p.gcReclaimed += uint64(removed)

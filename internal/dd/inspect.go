@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+
+	"qcec/internal/cn"
 )
 
 // Amplitude returns the amplitude <i|a> of a state DD.
@@ -13,10 +15,10 @@ func (p *Package) Amplitude(a VEdge, i uint64) complex128 {
 	w := complex(1, 0)
 	e := a
 	for {
-		if e.W == p.CN.Zero {
+		if e.W == cn.Zero {
 			return 0
 		}
-		w *= e.W.Complex()
+		w *= p.CN.Value(e.W)
 		if e.N == 0 {
 			return w
 		}
@@ -30,10 +32,10 @@ func (p *Package) MatrixEntry(m MEdge, r, c uint64) complex128 {
 	w := complex(1, 0)
 	e := m
 	for {
-		if e.W == p.CN.Zero {
+		if e.W == cn.Zero {
 			return 0
 		}
-		w *= e.W.Complex()
+		w *= p.CN.Value(e.W)
 		if e.N == 0 {
 			return w
 		}
@@ -53,10 +55,10 @@ func (p *Package) Vector(a VEdge) []complex128 {
 	out := make([]complex128, uint64(1)<<uint(p.n))
 	var walk func(e VEdge, idx uint64, level int, w complex128)
 	walk = func(e VEdge, idx uint64, level int, w complex128) {
-		if e.W == p.CN.Zero {
+		if e.W == cn.Zero {
 			return
 		}
-		w *= e.W.Complex()
+		w *= p.CN.Value(e.W)
 		if e.N == 0 {
 			out[idx] = w
 			return
@@ -126,10 +128,10 @@ func (p *Package) Sample(a VEdge, rng *rand.Rand) uint64 {
 	norms := make(map[VRef]float64)
 	var normSq func(e VEdge) float64
 	normSq = func(e VEdge) float64 {
-		if e.W == p.CN.Zero {
+		if e.W == cn.Zero {
 			return 0
 		}
-		w2 := e.W.Abs2()
+		w2 := p.CN.Abs2(e.W)
 		if e.N == 0 {
 			return w2
 		}
@@ -211,7 +213,7 @@ func (p *Package) DumpDOT(w io.Writer, a VEdge) error {
 	if _, err := fmt.Fprintln(w, "digraph vdd {"); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "  root [shape=point];\n  root -> n%d [label=\"%s\"];\n", uint64(a.N), a.W)
+	fmt.Fprintf(w, "  root [shape=point];\n  root -> n%d [label=\"%s\"];\n", uint64(a.N), p.CN.Format(a.W))
 	seen := make(map[VRef]bool)
 	var walk func(n VRef)
 	walk = func(n VRef) {
@@ -222,10 +224,10 @@ func (p *Package) DumpDOT(w io.Writer, a VEdge) error {
 		fmt.Fprintf(w, "  n%d [label=\"q%d\"];\n", uint64(n), p.vLv(n))
 		for i := 0; i < 2; i++ {
 			e := p.vE(n, i)
-			if e.W == p.CN.Zero {
+			if e.W == cn.Zero {
 				continue
 			}
-			fmt.Fprintf(w, "  n%d -> n%d [label=\"%d: %s\"];\n", uint64(n), uint64(e.N), i, e.W)
+			fmt.Fprintf(w, "  n%d -> n%d [label=\"%d: %s\"];\n", uint64(n), uint64(e.N), i, p.CN.Format(e.W))
 			walk(e.N)
 		}
 	}

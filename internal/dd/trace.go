@@ -1,24 +1,28 @@
 package dd
 
-import "math/cmplx"
+import (
+	"math/cmplx"
+
+	"qcec/internal/cn"
+)
 
 // Trace returns tr(m) for a matrix DD rooted at the top level.
 func (p *Package) Trace(m MEdge) complex128 {
 	memo := make(map[MRef]complex128)
 	var rec func(e MEdge) complex128
 	rec = func(e MEdge) complex128 {
-		if e.W == p.CN.Zero {
+		if e.W == cn.Zero {
 			return 0
 		}
 		if e.N == 0 {
-			return e.W.Complex()
+			return p.CN.Value(e.W)
 		}
 		if v, ok := memo[e.N]; ok {
-			return e.W.Complex() * v
+			return p.CN.Value(e.W) * v
 		}
 		v := rec(p.mE(e.N, 0)) + rec(p.mE(e.N, 3))
 		memo[e.N] = v
-		return e.W.Complex() * v
+		return p.CN.Value(e.W) * v
 	}
 	return rec(m)
 }
@@ -35,10 +39,10 @@ func (p *Package) HilbertSchmidt(a, b MEdge) complex128 {
 	memo := make(map[key]complex128)
 	var rec func(a, b MEdge) complex128
 	rec = func(a, b MEdge) complex128 {
-		if a.W == p.CN.Zero || b.W == p.CN.Zero {
+		if a.W == cn.Zero || b.W == cn.Zero {
 			return 0
 		}
-		w := cmplx.Conj(a.W.Complex()) * b.W.Complex()
+		w := cmplx.Conj(p.CN.Value(a.W)) * p.CN.Value(b.W)
 		if a.N == 0 && b.N == 0 {
 			return w
 		}

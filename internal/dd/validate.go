@@ -1,6 +1,10 @@
 package dd
 
-import "fmt"
+import (
+	"fmt"
+
+	"qcec/internal/cn"
+)
 
 // Structural invariant checks.  These are debugging and property-test aids:
 // every canonical DD must satisfy them at all times, so the test suite runs
@@ -16,13 +20,9 @@ import "fmt"
 //  4. every reachable node is present in the unique table (canonical).
 func (p *Package) ValidateV(e VEdge) error {
 	seen := make(map[VRef]bool)
-	inTable := make(map[VRef]bool, len(p.vUnique))
-	for _, n := range p.vUnique {
-		inTable[n] = true
-	}
 	var walk func(e VEdge, parentLevel int) error
 	walk = func(e VEdge, parentLevel int) error {
-		if e.W == p.CN.Zero {
+		if e.W == cn.Zero {
 			if e.N != 0 {
 				return fmt.Errorf("dd: zero edge with non-terminal node")
 			}
@@ -42,23 +42,23 @@ func (p *Package) ValidateV(e VEdge) error {
 			return nil
 		}
 		seen[e.N] = true
-		if !inTable[e.N] {
+		if !p.vU.holds(p.vHashOf(e.N), uint32(e.N)) {
 			return fmt.Errorf("dd: node at level %d missing from unique table", v)
 		}
 		hasOne := false
 		for i := 0; i < 2; i++ {
 			w := p.vE(e.N, i).W
-			if w == p.CN.One {
+			if w == cn.One {
 				hasOne = true
 			}
-			if w.Abs2() > 1+64*p.CN.Tolerance() {
-				return fmt.Errorf("dd: child weight magnitude %g exceeds 1 at level %d", w.Abs(), v)
+			if p.CN.Abs2(w) > 1+64*p.CN.Tolerance() {
+				return fmt.Errorf("dd: child weight magnitude %g exceeds 1 at level %d", p.CN.Abs(w), v)
 			}
 		}
 		if !hasOne {
 			return fmt.Errorf("dd: node at level %d has no unit child weight", v)
 		}
-		if p.vE(e.N, 0).W == p.CN.Zero && p.vE(e.N, 1).W == p.CN.Zero {
+		if p.vE(e.N, 0).W == cn.Zero && p.vE(e.N, 1).W == cn.Zero {
 			return fmt.Errorf("dd: node at level %d has two zero children", v)
 		}
 		for i := 0; i < 2; i++ {
@@ -74,13 +74,9 @@ func (p *Package) ValidateV(e VEdge) error {
 // ValidateM checks the same invariants for a matrix DD.
 func (p *Package) ValidateM(e MEdge) error {
 	seen := make(map[MRef]bool)
-	inTable := make(map[MRef]bool, len(p.mUnique))
-	for _, n := range p.mUnique {
-		inTable[n] = true
-	}
 	var walk func(e MEdge, parentLevel int) error
 	walk = func(e MEdge, parentLevel int) error {
-		if e.W == p.CN.Zero {
+		if e.W == cn.Zero {
 			if e.N != 0 {
 				return fmt.Errorf("dd: zero edge with non-terminal node")
 			}
@@ -100,21 +96,21 @@ func (p *Package) ValidateM(e MEdge) error {
 			return nil
 		}
 		seen[e.N] = true
-		if !inTable[e.N] {
+		if !p.mU.holds(p.mHashOf(e.N), uint32(e.N)) {
 			return fmt.Errorf("dd: node at level %d missing from unique table", v)
 		}
 		hasOne := false
 		allZero := true
 		for i := 0; i < 4; i++ {
 			w := p.mE(e.N, i).W
-			if w == p.CN.One {
+			if w == cn.One {
 				hasOne = true
 			}
-			if w != p.CN.Zero {
+			if w != cn.Zero {
 				allZero = false
 			}
-			if w.Abs2() > 1+64*p.CN.Tolerance() {
-				return fmt.Errorf("dd: child weight magnitude %g exceeds 1 at level %d", w.Abs(), v)
+			if p.CN.Abs2(w) > 1+64*p.CN.Tolerance() {
+				return fmt.Errorf("dd: child weight magnitude %g exceeds 1 at level %d", p.CN.Abs(w), v)
 			}
 		}
 		if !hasOne {
