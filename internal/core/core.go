@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"qcec/internal/circuit"
+	"qcec/internal/cn"
 	"qcec/internal/dd"
 	"qcec/internal/ec"
 	"qcec/internal/ecrw"
@@ -432,19 +433,9 @@ func check(g1, g2 *circuit.Circuit, opts Options) Report {
 }
 
 // agreementTolerance derives the state-agreement tolerance of statesAgree
-// from the configured DD weight tolerance: weight round-off compounds over
-// the gate sequence, so the overlap bound sits four orders of magnitude
-// above the interning tolerance.  At the default weight tolerance of 1e-10
-// this reproduces the historical 1e-6 agreement bound exactly; it is capped
-// at 1e-3 so a coarse custom tolerance can never silently accept grossly
-// different states.
-func agreementTolerance(ddTol float64) float64 {
-	tol := ddTol * 1e4
-	if tol > 1e-3 {
-		tol = 1e-3
-	}
-	return tol
-}
+// from the configured DD weight tolerance (see cn.AgreementTolerance: 1e-6
+// at the default weight tolerance, capped at 1e-3).
+var agreementTolerance = cn.AgreementTolerance
 
 func statesAgree(overlap complex128, upToPhase bool, tol float64) bool {
 	if upToPhase {
