@@ -13,7 +13,7 @@ FUZZTIME ?= 20s
 # deliberately, together with fixing whatever the new version reports.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test race vet fmt staticcheck fuzz-smoke chaos serve-smoke bench benchcmp ci
+.PHONY: all build test race vet fmt staticcheck fuzz-smoke chaos serve-smoke bench benchcmp e2ebench-test ci
 
 all: build
 
@@ -82,6 +82,12 @@ bench:
 # disabled here — benchcmp reports drift, it does not enforce a floor.
 benchcmp:
 	$(GO) run ./cmd/qbench -out /tmp/qbench-head.json -r $(BENCH_R) -compare BENCH_sim.json
+
+# The end-to-end benchmark (e2ebench/) is its own Go module, so the root
+# `go test ./...` never reaches its self-tests (verdict correctness, seed
+# handling, work counters that must repeat exactly at one seed).
+e2ebench-test:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzzing bursts over the parsers and the decomposition pipeline;
 # -fuzz takes one target per invocation, so each fuzzer gets its own run.
